@@ -87,13 +87,9 @@ WALL_CLOCK_ALLOWLIST: Tuple[str, ...] = (
 #: suppressing per line.  Observability/orchestration layers (obs,
 #: trace, loc, sweep, backends) read mode env vars by design and are out
 #: of DET106 scope; their outcome-neutrality is enforced by the
-#: study-diff and monitor-equivalence walls.
-ENV_TOGGLE_ALLOWLIST: Dict[str, str] = {
-    # Compute fusion is byte-identical by construction (the seq relay
-    # draws every kernel seq at its unfused instant); enforced by
-    # tests/test_fastpath.py and the full-catalog study md5 wall.
-    "REPRO_FUSE": "tie-stable compute fusion (speed-only, bit-identical)",
-}
+#: study-diff and monitor-equivalence walls.  Empty: the model core
+#: currently reads no environment variable at all.
+ENV_TOGGLE_ALLOWLIST: Dict[str, str] = {}
 
 #: Serialization/hashing sinks: a dict-view iteration whose loop body
 #: calls one of these is order-sensitive output.

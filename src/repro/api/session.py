@@ -15,11 +15,8 @@ entry point of the reproduction through them:
 * :meth:`Session.experiment` — a registered paper figure, executed
   under the session's policy.
 
-The legacy entry points (:func:`repro.sweep.engine.run_sweep`,
-:func:`repro.studies.engine.run_study`) are deprecation shims over a
-default-configured session and remain bit-identical — including their
-environment-variable behaviour, because a policy field left ``None``
-defers to the same variables at the same moment the old code read them.
+A policy field left ``None`` defers to its environment variable
+(``REPRO_SWEEP_*``) at the moment a sweep resolves it.
 """
 
 from __future__ import annotations
@@ -139,7 +136,6 @@ class Session:
     def _stream(
         self, jobs: List[Job], hooks: EventHooks
     ) -> Iterator[SweepOutcome]:
-        from repro.backends import run_backend
         from repro.backends.base import ExecutionBackend
 
         from repro.obs.metrics import FORWARD_LATENCY_EDGES_US
@@ -249,8 +245,8 @@ class Session:
                         "run", "backend",
                         {"backend": backend.name, "jobs": len(pending)},
                     ):
-                        for outcome in run_backend(
-                            backend, pending, hooks.on_job_start
+                        for outcome in backend.run(
+                            pending, on_start=hooks.on_job_start
                         ):
                             if outcome.job_id not in open_ids:
                                 raise BackendError(
@@ -314,7 +310,11 @@ class Session:
     ):
         """Run a scenario-conditioned policy study (one streamed sweep).
 
-        Parameters mirror :func:`repro.studies.engine.run_study`.
+        ``jobs_by_scenario`` accepts a precomputed
+        :meth:`~repro.studies.spec.StudySpec.jobs_by_scenario` expansion
+        so callers that already expanded the grid (the CLI prints the
+        job count up front) do not pay for a second one; ``hooks``
+        overrides the session's event hooks for this call.
         ``on_scenario_complete(verdict)`` fires the moment the last
         outcome of a scenario's grid lands — with that scenario's
         :class:`~repro.studies.policymap.ScenarioVerdict`, identical to
@@ -444,17 +444,15 @@ class _ScenarioCompletionTracker:
             self.on_scenario_complete(verdict)
 
 
-#: The lazily created all-defaults session behind the legacy shims.
+#: The lazily created all-defaults session (see :func:`default_session`).
 _DEFAULT: Optional[Session] = None
 
 
 def default_session() -> Session:
     """The shared default session (all policies at their defaults).
 
-    This is what the legacy :func:`~repro.sweep.engine.run_sweep` /
-    :func:`~repro.studies.engine.run_study` shims delegate to when
-    called without overrides; it defers every unset policy field to the
-    environment, exactly as the pre-session engine did.
+    The figure harnesses run their grids through it; it defers every
+    unset policy field to the environment (``REPRO_SWEEP_*``).
     """
     global _DEFAULT
     if _DEFAULT is None:

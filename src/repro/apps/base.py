@@ -97,7 +97,7 @@ class AppModel:
 
     #: Whether the rx/tx step streams are *pure* — per-packet side
     #: effects limited to commutative counters — so the microengine may
-    #: materialize (and fuse) them eagerly at packet bind.  Apps whose
+    #: materialize them eagerly at packet bind.  Apps whose
     #: streams mutate order-sensitive shared state (NAT's translation
     #: table, the detailed interpreter) must leave these False.
     materialize_rx = False

@@ -12,12 +12,12 @@
 * :mod:`~repro.backends.protocol` — the length-prefixed JSON wire
   format shared by coordinator and workers.
 
-:func:`~repro.sweep.engine.run_sweep` selects a backend from its
-``backend=`` argument, the ``REPRO_SWEEP_BACKEND`` environment
-variable (``serial`` / ``process`` / ``distributed``; the distributed
-endpoint comes from ``REPRO_SWEEP_CONNECT``), or — by default — serial
-for one worker and the process pool otherwise, exactly as before the
-backends existed.
+A :class:`~repro.api.session.Session` selects a backend from its
+:class:`~repro.api.policy.ExecutionPolicy` ``backend`` field, the
+``REPRO_SWEEP_BACKEND`` environment variable (``serial`` / ``process``
+/ ``distributed``; the distributed endpoint comes from
+``REPRO_SWEEP_CONNECT``), or — by default — serial for one worker and
+the process pool otherwise.
 
 Quickstart (two machines)::
 
@@ -35,16 +35,16 @@ import os
 from typing import Optional, Union
 
 from repro.errors import BackendError
-from repro.backends.base import ExecutionBackend, StartFn, run_backend
+from repro.backends.base import ExecutionBackend, StartFn
 from repro.backends.distributed import DistributedBackend, LeaseClock
 from repro.backends.local import ProcessBackend, SerialBackend
 from repro.backends.protocol import PROTOCOL_VERSION, parse_endpoint
 from repro.backends.worker import run_worker
 
 #: Environment override for the default backend (``serial`` /
-#: ``process`` / ``distributed``); experiments consult it through
-#: :func:`~repro.sweep.engine.run_sweep`, so every figure grid can fan
-#: out to a worker fleet with zero call-site changes.
+#: ``process`` / ``distributed``); every session consults it through
+#: :class:`~repro.api.policy.ExecutionPolicy`, so every figure grid can
+#: fan out to a worker fleet with zero call-site changes.
 BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 
 #: Environment fallback for the distributed coordinator endpoint.
@@ -119,6 +119,5 @@ __all__ = [
     "StartFn",
     "get_backend",
     "parse_endpoint",
-    "run_backend",
     "run_worker",
 ]

@@ -17,14 +17,13 @@ strategy — in-process, process pool, multi-machine queue — the same:
   of re-paying finished work.
 
 Jobs handed to a backend are already de-duplicated and cache-filtered
-by :func:`~repro.sweep.engine.run_sweep`; backends never consult the
-store themselves.
+by :meth:`repro.api.Session.stream`; backends never consult the store
+themselves.
 """
 
 from __future__ import annotations
 
 import abc
-import inspect
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.sweep.spec import Job
@@ -75,28 +74,3 @@ class ExecutionBackend(abc.ABC):
         """
         return {}
 
-
-def run_backend(
-    backend: ExecutionBackend,
-    jobs: Sequence[Job],
-    on_start: Optional[StartFn] = None,
-) -> Iterator[SweepOutcome]:
-    """Call :meth:`ExecutionBackend.run`, tolerating legacy signatures.
-
-    Third-party backends written against the pre-session contract take
-    only ``jobs``; for those, every job is announced up front (they are
-    all about to be dispatched) and the plain iterator is returned.
-    """
-    try:
-        parameters = inspect.signature(backend.run).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        parameters = {}
-    accepts_on_start = "on_start" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-    if accepts_on_start:
-        return backend.run(jobs, on_start=on_start)
-    if on_start is not None:
-        for job in jobs:
-            on_start(job)
-    return backend.run(jobs)

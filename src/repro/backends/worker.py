@@ -112,7 +112,7 @@ def run_worker(
         each subsequent) connection.
     serve:
         After a session ends, reconnect and serve the next sweep —
-        lets one pool of workers drain the several ``run_sweep`` calls
+        lets one pool of workers drain the several sweeps
         an experiment or study session issues — until no coordinator
         appears within ``connect_timeout_s``.
     """
@@ -165,7 +165,7 @@ def _serve_session(
         welcome = recv_message(sock)
         if welcome is None or welcome.get("type") != "welcome":
             raise BackendError(
-                f"coordinator at {host}:{port} refused the handshake: "
+                f"coordinator at {host}:{port} rejected the handshake: "
                 f"{(welcome or {}).get('error', 'connection closed')}"
             )
         lease_s = float(welcome.get("lease_s", 15.0))

@@ -171,18 +171,15 @@ def _timed_run(
     config: RunConfig,
     monitors: Sequence = (),
     sinks: Sequence = (),
-    fuse: Optional[bool] = None,
 ):
     """One simulation; returns (wall_s, RunResult).
 
     Collects garbage before timing and pauses automatic collection for
     the duration of the run — the discipline ``timeit`` applies — so a
     generational sweep triggered by a *previous* run's garbage cannot
-    land inside this run's timed region.  Those pauses were the largest
-    single source of repeat-to-repeat spread in the fused-vs-unfused
-    A/B pairs.
+    land inside this run's timed region.
     """
-    run = SimulationRun(config, sinks=sinks, monitors=monitors, fuse=fuse)
+    run = SimulationRun(config, sinks=sinks, monitors=monitors)
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
@@ -381,40 +378,6 @@ def bench_scenario(
             "run the differential wall (tests/test_monitors.py)"
         )
 
-    # Fused vs unfused kernel throughput: the same unobserved run A/B'd
-    # with compute fusion forced on and off.  Fusion is byte-identical
-    # by design, so any difference here is pure event-loop speed — and
-    # fused losing anywhere is a regression the CI lane hard-fails on
-    # (see :func:`fusion_regressions`).  Samples interleave so slow
-    # drift (thermal, noisy neighbours) hits both sides equally.
-    fused_samples: List[float] = []
-    unfused_samples: List[float] = []
-    _timed_run(config, fuse=True)  # untimed warmup eats first-run effects
-    pair = ((True, fused_samples), (False, unfused_samples))
-    for rep in range(max(1, repeats)):
-        # Alternate which side samples first so position bias (allocator
-        # and cache state left by the previous run) averages out.
-        for fuse, samples in (pair if rep % 2 == 0 else pair[::-1]):
-            wall, result = _timed_run(config, fuse=fuse)
-            if _event_count(result) != events:
-                raise ExperimentError(
-                    f"{scenario_name}: event count changed under "
-                    f"fuse={fuse} ({_event_count(result)} != {events}) — "
-                    "fusion must not perturb the simulation"
-                )
-            samples.append(wall)
-    fused_best = min(fused_samples)
-    unfused_best = min(unfused_samples)
-    # Per-repeat paired speedups: each pair ran back to back, so a load
-    # step or frequency drift hits both sides of a pair roughly equally
-    # and divides out — the gate trusts the paired median over the
-    # global minima, which a spike during one side's samples can skew.
-    paired_speedups = [
-        round(unfused / fused, 4)
-        for fused, unfused in zip(fused_samples, unfused_samples)
-        if fused > 0
-    ]
-
     # Checking-path throughput: replay the captured trace at volume,
     # best wall-clock over ``repeats`` measurements (replay timings are
     # short; the minimum is the least noisy estimator).
@@ -447,20 +410,6 @@ def bench_scenario(
             "compiled_with_spans_s": round(walls["compiled"], 4),
             "compiled_no_spans_s": round(unspanned, 4) if unspanned else None,
             "overhead_pct": span_overhead_pct,
-        },
-        "fusion": {
-            "fused_events_per_s": round(events / fused_best, 1)
-            if fused_best > 0
-            else None,
-            "unfused_events_per_s": round(events / unfused_best, 1)
-            if unfused_best > 0
-            else None,
-            "speedup": round(unfused_best / fused_best, 3)
-            if fused_best > 0
-            else None,
-            "paired_speedups": paired_speedups,
-            "fused_wall_stats": _wall_stats(fused_samples),
-            "unfused_wall_stats": _wall_stats(unfused_samples),
         },
         "checking": {
             "replayed_events": replayed,
@@ -528,21 +477,6 @@ def run_bench(
     unspanned_s = sum(
         e["spans"]["compiled_no_spans_s"] or 0.0 for e in entries.values()
     )
-    fusion_ratios = [
-        e["fusion"]["speedup"]
-        for e in entries.values()
-        if e.get("fusion", {}).get("speedup")
-    ]
-    fusion_geomean = (
-        round(
-            math.exp(
-                sum(math.log(r) for r in fusion_ratios) / len(fusion_ratios)
-            ),
-            3,
-        )
-        if fusion_ratios
-        else None
-    )
     return {
         "bench": "run",
         "profile": profile,
@@ -580,79 +514,8 @@ def run_bench(
             )
             if unspanned_s > 0
             else None,
-            # Whole-run kernel speed with compute fusion on vs off
-            # (unobserved runs; must never dip below ~1.0 — see
-            # :func:`fusion_regressions`).
-            "fusion_geomean_speedup": fusion_geomean,
         },
     }
-
-
-#: Minimum relative slack for the fused-vs-unfused gate.  Best-of-N
-#: minima still jitter by a few percent run to run (and a single-repeat
-#: lane measures no spread at all), so the gate never tightens below
-#: this floor — wide enough to absorb scheduler noise, narrow enough to
-#: catch a real per-part regression like the pre-relay fusion scheme.
-FUSION_SLACK_FLOOR = 0.05
-
-
-def fusion_regressions(data: Dict) -> List[str]:
-    """Hard gate: scenarios where the fused kernel ran slower than unfused.
-
-    Fusion is byte-identical and exists purely for speed, so losing to
-    the unfused path anywhere is a defect, not a trade-off.  The gate is
-    noise-aware the same way :func:`compare_bench` is.  Two estimators
-    of the true speedup are computed — the *ratio of best-of-N minima*
-    (skewed only by a load spike covering every sample on one side) and
-    the *median of the per-repeat paired speedups* (each pair ran back
-    to back, so a load step divides out of the ratio; skewed only by an
-    episode spanning most pairs asymmetrically).  Their noise failure
-    modes are disjoint while a real slowdown depresses both, so the
-    gate judges the more favorable of the two.  The comparison widens
-    by the larger side's relative repeat spread (never below
-    :data:`FUSION_SLACK_FLOOR`) so one noisy sample cannot fail a lane.
-    Single-repeat runs (smoke lanes) are never gated — one sample per
-    side measures jitter, not fusion — the gate needs at least two.
-    Returns message strings; empty means fused held up everywhere.
-    """
-
-    def rel_noise(stats: Dict) -> float:
-        best = stats.get("best_s")
-        stddev = stats.get("stddev_s")
-        if not best or stddev is None:
-            return 0.0
-        return stddev / best
-
-    messages: List[str] = []
-    for name, entry in sorted(data.get("scenarios", {}).items()):
-        fusion = entry.get("fusion", {})
-        fused = fusion.get("fused_events_per_s")
-        unfused = fusion.get("unfused_events_per_s")
-        if not fused or not unfused:
-            continue
-        samples = min(
-            fusion.get("fused_wall_stats", {}).get("samples", 0),
-            fusion.get("unfused_wall_stats", {}).get("samples", 0),
-        )
-        if samples < 2:
-            continue
-        slack = max(
-            FUSION_SLACK_FLOOR,
-            rel_noise(fusion.get("fused_wall_stats", {})),
-            rel_noise(fusion.get("unfused_wall_stats", {})),
-        )
-        estimates = [fused / unfused]
-        paired = fusion.get("paired_speedups")
-        if paired:
-            estimates.append(sorted(paired)[len(paired) // 2])
-        observed = max(estimates)
-        if observed < 1.0 - slack:
-            drop = 100.0 * (1.0 - observed)
-            messages.append(
-                f"{name}: fused kernel slower than unfused by {drop:.1f}% "
-                f"({fused:,.0f} vs {unfused:,.0f} events/s best-of-N)"
-            )
-    return messages
 
 
 def render_bench_text(data: Dict) -> str:
@@ -694,12 +557,6 @@ def render_bench_text(data: Dict) -> str:
         lines.append(
             f"run-timeline spans (default on): {span_overhead:+.1f}% "
             f"whole-run wall vs REPRO_OBS_SPANS=off"
-        )
-    fusion_geomean = totals.get("fusion_geomean_speedup")
-    if fusion_geomean is not None:
-        lines.append(
-            f"compute fusion (default on): {fusion_geomean:.2f}x geomean "
-            f"whole-run kernel speed vs unfused"
         )
     host = data.get("host", {})
     if host.get("ops_per_s"):
@@ -875,9 +732,9 @@ def _render_profile_table(stats: pstats.Stats, top_n: int) -> str:
     """Top-``top_n`` cumulative-time table with readable attribution.
 
     Same columns as ``pstats.print_stats`` but rendered here so frame
-    names pass through :func:`_readable_name` — fused-block callbacks
-    and table-dispatched steps appear as the bound methods they are
-    (``microengine.py:...(Microengine._fused_advance)``), and compiled
+    names pass through :func:`_readable_name` — kernel callbacks appear
+    as the bound methods they are
+    (``microengine.py:...(Microengine._poll_done)``), and compiled
     monitor feeds lose the ``<locals>`` hop.
     """
     total_calls = 0

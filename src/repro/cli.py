@@ -916,7 +916,6 @@ def _cmd_bench(args) -> int:
     from repro.api import Session
     from repro.bench import (
         compare_bench,
-        fusion_regressions,
         load_bench_json,
         render_bench_text,
         write_bench_json,
@@ -990,17 +989,6 @@ def _cmd_bench(args) -> int:
     write_bench_json(data, args.out)
     print(render_bench_text(data))
     print(f"wrote {args.out}")
-
-    # Fused-vs-unfused is a hard intra-artifact gate, independent of any
-    # baseline: fusion is byte-identical and exists purely for speed, so
-    # losing to the unfused path anywhere is a defect.
-    fusion_failures = fusion_regressions(data)
-    for failure in fusion_failures:
-        print(f"bench: FAIL {failure}", file=sys.stderr)
-        if os.environ.get("GITHUB_ACTIONS"):
-            print(f"::error title=bench_run fusion regression::{failure}")
-    if fusion_failures:
-        return 1
 
     if baseline is not None:
         warnings = compare_bench(baseline, data, tolerance=args.regress_warn)

@@ -97,11 +97,17 @@ class QueuedResource:
         self._trace_emit = None if emit is NOOP_EMITTER else emit
 
     def request(
-        self, nbytes: int, callback: Callable[..., None], *args: Any
+        self,
+        nbytes: int,
+        callback: Optional[Callable[..., None]] = None,
+        *args: Any,
     ) -> int:
         """Issue a request; ``callback(*args)`` fires at completion.
 
-        Returns the absolute completion time in picoseconds.
+        A posted (fire-and-forget) transfer passes no callback: it still
+        occupies the server and is charged in full, but no completion
+        event is queued.  Returns the absolute completion time in
+        picoseconds.
         """
         service = self._service_cache.get(nbytes)
         if service is None:
@@ -133,7 +139,8 @@ class QueuedResource:
         if self._trace_emit is not None:
             self._trace_emit()
 
-        self._post_at(done, callback, *args)
+        if callback is not None:
+            self._post_at(done, callback, *args)
         return done
 
     # ------------------------------------------------------------------

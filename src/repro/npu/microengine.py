@@ -21,21 +21,16 @@ produce the same vocabulary, so they share this engine.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from itertools import chain
 from typing import Callable, Deque, Iterator, List, Optional
 
 from repro.errors import NpuError, SimulationError
 from repro.npu.steps import (
     OP_COMPUTE,
     OP_DROP,
-    OP_FUSED_COMPUTE,
     OP_MEM_BLOCKING,
     OP_MEM_POST,
     OP_PUT_TX,
-    Compute,
-    FusedCompute,
     Step,
 )
 from repro.sim.clock import ClockDomain
@@ -50,41 +45,15 @@ BUSY, IDLE, STALLED = "busy", "idle", "stalled"
 #: application bug (a step stream that never advances simulated time).
 _ZERO_TIME_LIMIT = 10_000
 
-#: Environment switch for compute fusion (``"off"``/``"0"``/``"false"``/
-#: ``"no"`` disables it).  Default on: the seq-relay execution scheme
-#: (see :meth:`Microengine._fused_advance`) is bit-identical to unfused
-#: execution, so fusion is a pure fast path.  Deliberately an environment
-#: variable and not a :class:`~repro.config.RunConfig` field — config
-#: hashes (and therefore sweep-cache job identity) must not depend on a
-#: knob that cannot change results.
-FUSE_ENV_VAR = "REPRO_FUSE"
-
-
-def fusion_enabled() -> bool:
-    """Whether compute fusion is on (the ``REPRO_FUSE`` switch)."""
-    value = os.environ.get(FUSE_ENV_VAR, "").strip().lower()
-    return value not in ("off", "0", "false", "no")
-
-
-def _ignore_completion() -> None:
-    """Completion callback for posted (fire-and-forget) transfers."""
-
-
 class _HwThread:
     """One hardware thread's context."""
 
-    __slots__ = ("index", "waiting", "packet", "step_iter", "pushback")
+    __slots__ = ("index", "packet", "step_iter")
 
     def __init__(self, index: int):
         self.index = index
-        self.waiting = False  # blocked on a memory reference
         self.packet: Optional[Packet] = None
         self.step_iter: Optional[Iterator[Step]] = None
-        #: One step read ahead of execution.  The fused-compute
-        #: lookahead consumes steps until the compute run ends and parks
-        #: the run-ending step here; the arbiter drains it before
-        #: touching ``step_iter`` again.
-        self.pushback: Optional[Step] = None
 
 
 class RxPortMux:
@@ -163,15 +132,6 @@ class Microengine:
         resuming the app generator per step.  Valid only for pure
         streams (``AppModel.materialize_rx`` / ``materialize_tx``);
         execution is bit-identical to lazy iteration.
-    fuse:
-        With ``materialize``, additionally execute adjacent computes as
-        one :class:`~repro.npu.steps.FusedCompute` block via the
-        seq-relay (see :meth:`_fused_advance`).  The relay charges and
-        times each part at exactly the instants unfused execution
-        would, so full-system runs — including equal-picosecond event
-        ties against other components — are bit-identical to unfused
-        execution.  ``None`` (the default) resolves the ``REPRO_FUSE``
-        environment switch, which defaults to on.
     """
 
     def __init__(
@@ -191,7 +151,6 @@ class Microengine:
         on_packet_done: Optional[Callable[[Packet], None]] = None,
         on_drop: Optional[Callable[[Packet, str], None]] = None,
         materialize: bool = False,
-        fuse: Optional[bool] = None,
     ):
         if role not in ("rx", "tx"):
             raise NpuError(f"role must be 'rx' or 'tx', got {role!r}")
@@ -256,34 +215,6 @@ class Microengine:
         #: applications whose streams are pure (``materialize_rx`` /
         #: ``materialize_tx`` on the app model).
         self._materialize = materialize
-        #: Execute runs of adjacent computes via the seq-relay (default
-        #: on, ``REPRO_FUSE`` to override).  Bit-identical to unfused
-        #: execution by construction: each part is charged, timed and
-        #: seq-numbered at exactly the unfused instants, so no replan or
-        #: run-end settling is needed — stalls, frequency changes and
-        #: runs ending mid-block all observe unfused state.  Fusion
-        #: happens at execution, not at materialization: when the
-        #: arbiter decodes a compute it reads ahead until the run ends
-        #: (pure list iteration — lookahead is only enabled for
-        #: materialized streams) and relays the whole run, so packets
-        #: whose streams have no adjacent computes pay nothing.
-        self._fuse = (fusion_enabled() if fuse is None else bool(fuse)) and (
-            materialize
-        )
-        #: Live per-bind gate: fusion is suspended while a per-block
-        #: observer (pipeline emitter / instruction listener) needs the
-        #: original block boundaries.  Refreshed at every packet bind.
-        self._fuse_exec = False
-        #: In-flight fused-compute relay cursor.  At most one fused block
-        #: is in flight per engine (a single thread computes at a time),
-        #: so the cursor lives on the engine itself: no per-block plan
-        #: object, no per-part bound-method allocation — the relay posts
-        #: the prebound callback with no arguments.
-        self._fused_parts: tuple = ()
-        self._fused_n = 0
-        self._fused_index = 0
-        self._fused_thread: Optional[_HwThread] = None
-        self._fused_relay = self._fused_advance
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -326,10 +257,6 @@ class Microengine:
         if end > self._stall_until_ps:
             self._stall_until_ps = end
             self.sim.post_at(end, self._maybe_unstall, end)
-        # An in-flight fused block needs no intervention: its relay event
-        # observes ``_stalled`` at the next part boundary and parks the
-        # thread there — the same instant (and instruction count) as
-        # unfused execution (see _fused_advance).
         if self._current is None:
             # Nothing mid-compute: the engine freezes as of now; an
             # in-flight compute instead parks its thread on completion.
@@ -372,23 +299,13 @@ class Microengine:
                 if self._acquire(thread):
                     continue  # packet bound; execute its steps
                 return  # polling: a timed wait was scheduled
-            step = thread.pushback
-            if step is None:
-                step = next(step_iter, None)
-            else:
-                thread.pushback = None
+            step = next(step_iter, None)
             if step is None:
                 self._finish_packet(thread)
                 continue
             op = step.op
             if op == OP_COMPUTE:
-                if self._fuse_exec:
-                    self._run_compute_fused(thread, step, step_iter)
-                else:
-                    self._run_compute(thread, step.instructions)
-                return
-            if op == OP_FUSED_COMPUTE:
-                self._run_fused(thread, step)
+                self._run_compute(thread, step.instructions)
                 return
             if op == OP_MEM_BLOCKING:
                 self._issue_memory(thread, step)
@@ -427,19 +344,10 @@ class Microengine:
             # Pure stream: execute off a list (C-speed iteration).  The
             # app usually hands one over already — possibly shared and
             # memoized, which is safe because iteration never mutates
-            # the list and steps are immutable.  Compute runs are fused
-            # at execution time (see _continue), not here — a per-packet
-            # fusion scan costs more than the relay saves on streams
-            # with few adjacent computes.
+            # the list and steps are immutable.
             if steps.__class__ is not list:
                 steps = list(steps)
             steps = iter(steps)
-            self._fuse_exec = (
-                self._fuse
-                and self.pipeline_emitter is None
-                and self.on_instructions is None
-            )
-        thread.pushback = None
         thread.step_iter = steps
 
     def _charge_poll(self, thread: _HwThread) -> None:
@@ -468,58 +376,6 @@ class Microengine:
             self._delay_for_cycles(instructions), self._compute_done, thread
         )
 
-    def _run_compute_fused(self, thread: _HwThread, step, step_iter) -> None:
-        """Decode a compute with run lookahead: fuse adjacent computes.
-
-        Reads ahead until the compute run ends — on a materialized
-        stream that is pure list iteration, so every step is still
-        ``next()``-ed exactly once — and parks the run-ending step in
-        ``thread.pushback``.  A lone compute follows the plain path; a
-        run of two or more arms the seq relay (:meth:`_fused_advance`).
-        Only the first part is charged and timed here — exactly what
-        unfused execution does at this instant.
-        """
-        self._zero_time_ops = 0
-        first = step.instructions
-        self.instructions_executed += first
-        nxt = next(step_iter, None)
-        if nxt is None or nxt.__class__ is not Compute:
-            thread.pushback = nxt
-            self._post(self._delay_for_cycles(first), self._compute_done, thread)
-            return
-        parts = [first, nxt.instructions]
-        append = parts.append
-        while True:
-            nxt = next(step_iter, None)
-            if nxt is None or nxt.__class__ is not Compute:
-                break
-            append(nxt.instructions)
-        thread.pushback = nxt
-        self._fused_parts = parts
-        self._fused_n = len(parts)
-        self._fused_index = 1
-        self._fused_thread = thread
-        self._post(self._delay_for_cycles(first), self._fused_relay)
-
-    def _run_fused(self, thread: _HwThread, step: FusedCompute) -> None:
-        """Begin a fused compute block: issue part 1, arm the seq relay.
-
-        Handles explicit :class:`FusedCompute` steps — a stall-requeued
-        run tail, or streams pre-fused with ``materialize_steps``.  Only
-        the first part is charged and timed here — exactly what unfused
-        execution does at this instant.  Subsequent parts are issued by
-        :meth:`_fused_advance` at their unfused start times.
-        """
-        self._zero_time_ops = 0
-        parts = step.parts
-        first = parts[0]
-        self.instructions_executed += first
-        self._fused_parts = parts
-        self._fused_n = len(parts)
-        self._fused_index = 1
-        self._fused_thread = thread
-        self._post(self._delay_for_cycles(first), self._fused_relay)
-
     def _post_memory(self, step) -> None:
         try:
             resource = self.memories[step.target]
@@ -528,7 +384,7 @@ class Microengine:
                 f"ME{self.index}: no {step.target!r} controller attached"
             ) from None
         self.mem_accesses += 1
-        resource.request(step.nbytes, _ignore_completion)
+        resource.request(step.nbytes)
 
     def _issue_memory(self, thread: _HwThread, step) -> None:
         self._zero_time_ops = 0
@@ -539,7 +395,6 @@ class Microengine:
                 f"ME{self.index}: no {step.target!r} controller attached"
             ) from None
         self.mem_accesses += 1
-        thread.waiting = True
         resource.request(step.nbytes, self._mem_done, thread)
         self._current = None
         # A context switch burns engine cycles only when there is a
@@ -600,55 +455,7 @@ class Microengine:
             return
         self._continue(thread)
 
-    def _fused_advance(self) -> None:
-        """Seq-relay boundary: one part of a fused block just completed.
-
-        Fires at exactly the (time, seq) of the unfused part's completion
-        event — the relay draws each kernel sequence number at the
-        instant unfused execution would, so the shared seq counter, and
-        therefore every equal-picosecond tie against other components'
-        events, is bit-identical to unfused execution.  The common case
-        issues the next part: charge it and re-post the relay (what
-        ``_compute_done`` + ``_continue`` + ``_run_compute`` would do,
-        minus the step-iterator walk, the per-part bound-method build
-        and the callback-argument tuple).  A stall boundary or the final
-        part falls back to ``_compute_done``; un-started parts were
-        never charged, so there is nothing to refund — a stall re-queues
-        them and they re-issue at the unfused instants (a frequency
-        change needs no handling at all: parts issued after it pick up
-        the new rate here, and the in-flight part keeps its delay, just
-        like unfused computes).
-        """
-        i = self._fused_index
-        if i < self._fused_n and not self._stalled:
-            self._fused_index = i + 1
-            part = self._fused_parts[i]
-            self.instructions_executed += part
-            self._post(self._delay_for_cycles(part), self._fused_relay)
-            return
-        thread = self._fused_thread
-        if i < self._fused_n:
-            # Parked mid-block: re-queue the un-started tail so it
-            # re-issues (and is charged) at the unfused instants — ahead
-            # of the run-ending step the lookahead may have parked.
-            rest = self._fused_parts[i:]
-            follow: Step = (
-                FusedCompute(rest) if len(rest) >= 2 else Compute(rest[0])
-            )
-            if thread.pushback is None:
-                thread.pushback = follow
-            else:
-                thread.step_iter = chain(
-                    (follow, thread.pushback), thread.step_iter
-                )
-                thread.pushback = None
-        self._fused_parts = ()
-        self._fused_n = 0
-        self._fused_thread = None
-        self._compute_done(thread)
-
     def _mem_done(self, thread: _HwThread) -> None:
-        thread.waiting = False
         self._ready.append(thread)
         if self._current is None and not self._stalled:
             self._dispatch()

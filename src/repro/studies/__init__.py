@@ -9,8 +9,9 @@ sweep engine (:mod:`repro.sweep`) and the LOC checker
 * :mod:`~repro.studies.spec` — :class:`StudySpec`: scenario set x
   policy set x (threshold, window) grid, the objective, and derived
   per-scenario LOC assertion gates;
-* :mod:`~repro.studies.engine` — :func:`run_study`: one parallel sweep
-  over every scenario's grid, reduced deterministically;
+* :mod:`~repro.studies.engine` — :class:`StudyResult`: one parallel
+  sweep over every scenario's grid, reduced deterministically (run it
+  with :meth:`repro.api.Session.study`);
 * :mod:`~repro.studies.policymap` — :class:`PolicyMap`: per-scenario
   winners ("cheapest config whose assertions hold") plus full
   energy / drop-rate / latency Pareto fronts;
@@ -34,11 +35,10 @@ Quickstart::
     )
     print(render_text(result.policy_map))
 
-``repro study`` on the CLI wraps exactly this (the legacy
-:func:`run_study` remains as a bit-identical deprecation shim).
+``repro study`` on the CLI wraps exactly this.
 """
 
-from repro.studies.engine import StudyResult, run_study
+from repro.studies.engine import StudyResult
 from repro.studies.objective import (
     OBJECTIVES,
     Objective,
@@ -81,7 +81,6 @@ __all__ = [
     "render_json",
     "render_markdown",
     "render_text",
-    "run_study",
     "select_design_point",
     "summarize_candidate",
 ]

@@ -3,9 +3,8 @@
 * :mod:`~repro.sweep.spec` — :class:`SweepSpec` grids and picklable
   :class:`Job` units keyed by config hash;
 * :mod:`~repro.sweep.engine` — :func:`run_job`, the shared in-process
-  execution path, plus the legacy :func:`run_sweep` shim (execution
-  now lives on :class:`repro.api.Session`, over the pluggable backends
-  of :mod:`repro.backends`);
+  execution path (sweeps run through :class:`repro.api.Session`, over
+  the pluggable backends of :mod:`repro.backends`);
 * :mod:`~repro.sweep.store` — :class:`ResultStore`, the JSONL result
   log that doubles as the resume/skip cache.
 
@@ -33,7 +32,6 @@ from repro.sweep.engine import (
     default_workers,
     progress_printer,
     run_job,
-    run_sweep,
     summarize,
 )
 from repro.sweep.spec import Job, SweepSpec, config_hash, parse_traffic_token
@@ -50,6 +48,5 @@ __all__ = [
     "parse_traffic_token",
     "progress_printer",
     "run_job",
-    "run_sweep",
     "summarize",
 ]

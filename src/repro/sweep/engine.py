@@ -1,18 +1,11 @@
-"""The sweep runner: :func:`run_job` plus the legacy ``run_sweep`` shim.
+"""The sweep runner: :func:`run_job` and the sweep-report helpers.
 
 :func:`run_job` is the single in-process execution path every backend
 shares — the serial loop, the process-pool workers and the distributed
 ``repro worker`` processes all call it, which is what makes results
-bit-identical regardless of where a job lands.
-
-:func:`run_sweep` is the pre-session entry point, kept as a thin
-deprecation shim over :class:`repro.api.Session`: its kwargs become a
-one-call :class:`~repro.api.policy.ExecutionPolicy` /
-:class:`~repro.api.policy.StorePolicy`, and its results — ordering,
-caching, duplicate fan-out, environment-variable behaviour — are
-bit-identical to the historical engine.  New code should hold a
-:class:`~repro.api.session.Session` and call ``session.sweep`` /
-``session.stream`` instead.
+bit-identical regardless of where a job lands.  Sweeps themselves run
+through :class:`repro.api.Session` (``session.sweep`` /
+``session.stream``).
 
 A :class:`~repro.sweep.store.ResultStore` makes sweeps resumable:
 completed job ids are skipped and their stored outcomes returned
@@ -26,8 +19,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-import warnings
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Sequence
 
 from repro.errors import ExperimentError
 from repro.loc.builtin import (
@@ -36,8 +28,8 @@ from repro.loc.builtin import (
 )
 from repro.loc.monitor import build_monitor
 from repro.runner import SimulationRun
-from repro.sweep.spec import Job, SweepSpec
-from repro.sweep.store import ResultStore, SweepOutcome
+from repro.sweep.spec import Job
+from repro.sweep.store import SweepOutcome
 
 #: Environment override for the default worker count (see
 #: :func:`default_workers`); experiments consult it so ``repro run``
@@ -154,61 +146,6 @@ def run_job(job: Job) -> SweepOutcome:
         check_results=check_results,
         obs=obs,
     )
-
-
-def run_sweep(
-    jobs: Union[SweepSpec, Sequence[Job]],
-    workers: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    progress: Optional[ProgressFn] = None,
-    backend=None,
-) -> List[SweepOutcome]:
-    """Run a sweep and return outcomes in job order.
-
-    .. deprecated::
-        This is a compatibility shim over :class:`repro.api.Session`;
-        hold a session (``Session(execution=ExecutionPolicy(...))``)
-        and call :meth:`~repro.api.session.Session.sweep` — or
-        :meth:`~repro.api.session.Session.stream` for completion-order
-        results — instead.  Results are bit-identical either way.
-
-    Parameters
-    ----------
-    jobs:
-        A job list, or a :class:`SweepSpec` to expand.  Duplicate job
-        ids execute once; the shared outcome — including the *first*
-        occurrence's display label — lands at every index.
-    workers:
-        Process count; ``None`` uses :func:`default_workers`, ``1`` runs
-        serially in-process (no executor, easiest to debug/profile).
-        Ignored by backends with their own worker fleet (distributed).
-    store:
-        Optional :class:`ResultStore`; jobs whose ids are already
-        complete in the store are skipped (their cached outcomes are
-        returned with ``cached=True``) and fresh outcomes are appended
-        incrementally, as each one completes.
-    progress:
-        Called after each job completes (cached hits included).
-    backend:
-        An :class:`~repro.backends.base.ExecutionBackend` instance, a
-        name token (``serial`` / ``process`` / ``distributed``), or
-        ``None`` to consult ``REPRO_SWEEP_BACKEND`` and fall back to
-        the classic serial/process-pool choice.
-    """
-    warnings.warn(
-        "run_sweep() is deprecated; use repro.api.Session.sweep() "
-        "(or Session.stream() for completion-order results)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import EventHooks, ExecutionPolicy, Session, StorePolicy
-
-    session = Session(
-        execution=ExecutionPolicy(backend=backend, workers=workers),
-        store=StorePolicy(store=store),
-        hooks=EventHooks(progress=progress),
-    )
-    return session.sweep(jobs)
 
 
 def summarize(outcomes: Sequence[SweepOutcome]) -> str:

@@ -342,16 +342,27 @@ class TestDeterminismRules:
                 "b = os.environ.get(VAR)\n"
                 'c = os.getenv("REPRO_THIRD")\n'
                 'd = os.environ["REPRO_FOURTH"]\n'
+                # A deleted toggle's read fails once it leaves the
+                # allowlist: the removed compute-fusion switch.
+                'TOGGLE = "REPRO_FUSE"\n'
+                'e = os.environ.get(TOGGLE, "").strip().lower()\n'
             ),
         })
-        assert sum(1 for code, _ in bad if code == "DET106") == 4
+        assert sum(1 for code, _ in bad if code == "DET106") == 5
 
-    def test_det106_allowlisted_toggle_clean(self, tmp_path):
+    def test_det106_allowlisted_toggle_clean(self, tmp_path, monkeypatch):
+        from repro.analysis.lint import determinism
+
+        monkeypatch.setitem(
+            determinism.ENV_TOGGLE_ALLOWLIST,
+            "REPRO_PROVEN_NEUTRAL",
+            "fixture toggle: speed-only, bit-identical",
+        )
         clean = det_codes(tmp_path, {
             "npu/engine.py": (
                 "import os\n"
-                'FUSE_ENV_VAR = "REPRO_FUSE"\n'
-                'on = os.environ.get(FUSE_ENV_VAR, "").strip().lower()\n'
+                'VAR = "REPRO_PROVEN_NEUTRAL"\n'
+                'on = os.environ.get(VAR, "").strip().lower()\n'
             ),
         })
         assert all(code != "DET106" for code, _ in clean)
@@ -449,7 +460,7 @@ class TestLocRules:
                    for f in vacuous)
         const = analyze_bounds("3 <= 2")
         assert any(f.code == "LOC202" for f in const)
-        # The parser refuses degenerate triples, but AST-built formulas
+        # The parser rejects degenerate triples, but AST-built formulas
         # bypass it — the analyzer must still catch them.
         from repro.loc.ast_nodes import DistributionFormula
         from repro.loc.parser import parse_formula

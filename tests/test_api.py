@@ -2,9 +2,8 @@
 
 Covers the policy objects (env/kwarg precedence, resolution order),
 the Session facade (sweep order, streaming completion order on all
-three backends, event hooks, store reuse/overwrite), the deprecation
-shims (bit-identical to the session paths), and the study streaming
-surface (per-scenario verdicts, byte-identical reports).
+three backends, event hooks, store reuse/overwrite), and the study
+streaming surface (per-scenario verdicts, byte-identical reports).
 """
 
 import json
@@ -32,7 +31,7 @@ from repro.backends.worker import run_worker
 from repro.config import RunConfig, TrafficConfig
 from repro.errors import ExperimentError
 from repro.runner import run_simulation
-from repro.sweep import ResultStore, SweepSpec, run_sweep
+from repro.sweep import ResultStore, SweepSpec
 from repro.sweep.engine import WORKERS_ENV_VAR
 
 #: Short, deterministic grid shared by the execution tests.
@@ -154,13 +153,6 @@ class TestExecutionPolicy:
 
 
 class TestSessionSweep:
-    def test_sweep_matches_legacy_run_sweep(self):
-        jobs = small_spec().jobs()
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            legacy = run_sweep(jobs, workers=1)
-        session = Session(execution=ExecutionPolicy(workers=1))
-        assert_identical(legacy, session.sweep(jobs))
-
     def test_sweep_accepts_spec_and_preserves_job_order(self):
         spec = small_spec()
         jobs = spec.jobs()
@@ -361,48 +353,22 @@ class TestStorePolicy:
 
 
 class TestLegacyShims:
-    def test_run_sweep_warns_and_matches(self):
-        jobs = small_spec(policies=("none",)).jobs()
-        with pytest.warns(DeprecationWarning, match="Session.sweep"):
-            legacy = run_sweep(jobs)
-        assert_identical(legacy, Session().sweep(jobs))
+    """Behaviour the removed ``run_sweep`` entry point guaranteed,
+    pinned on the session that replaced it."""
 
     def test_run_sweep_env_workers_still_respected(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "not a number")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ExperimentError):
-                run_sweep(small_spec(policies=("none",)).jobs())
+        with pytest.raises(ExperimentError):
+            Session().sweep(small_spec(policies=("none",)).jobs())
 
     def test_run_sweep_backend_kwarg_beats_env(self, monkeypatch):
-        """The legacy precedence: an explicit backend= kwarg wins over
-        REPRO_SWEEP_BACKEND, which wins over the workers heuristic."""
+        """An explicit backend field wins over REPRO_SWEEP_BACKEND,
+        which wins over the workers heuristic."""
         monkeypatch.setenv(BACKEND_ENV_VAR, "quantum")  # would be rejected
         jobs = small_spec(policies=("none",)).jobs()
-        with pytest.warns(DeprecationWarning):
-            (outcome,) = run_sweep(jobs, backend="serial")
+        session = Session(execution=ExecutionPolicy(backend="serial"))
+        (outcome,) = session.sweep(jobs)
         assert outcome.mean_power_w > 0
-
-    def test_run_study_warns_and_matches_session_study(self):
-        from repro.studies import StudySpec, run_study
-        from repro.studies.report import render_json
-
-        spec = StudySpec(
-            scenarios=("flash_crowd",),
-            policies=("tdvs",),
-            thresholds_mbps=(1200.0,),
-            windows_cycles=(40_000,),
-            duration_cycles=120_000,
-            span=20,
-            seeds=(11,),
-        )
-        spec.validate()
-        with pytest.warns(DeprecationWarning, match="Session.study"):
-            legacy = run_study(spec, workers=1)
-        session = Session(execution=ExecutionPolicy(workers=1))
-        via_session = session.study(spec)
-        assert render_json(legacy.policy_map) == render_json(
-            via_session.policy_map
-        )
 
     def test_default_session_is_shared(self):
         assert default_session() is default_session()
@@ -463,11 +429,14 @@ class TestSessionStudy:
 @pytest.mark.slow
 class TestFullCatalogByteIdentity:
     def test_full_catalog_study_via_session_matches_legacy(self):
-        """The PR's acceptance shape: a full-catalog study through the
-        Session API renders byte-identical JSON to the legacy
-        run_study path."""
-        from repro.studies import StudySpec, run_study
+        """A full-catalog study renders byte-identical JSON serially and
+        on a process pool, and both equal the pinned render of the
+        removed ``run_study`` path."""
+        from repro.scenarios import list_scenarios
+        from repro.studies import StudySpec
         from repro.studies.report import render_json
+
+        from test_fastpath import STUDY_JSON_MD5, md5
 
         spec = StudySpec(
             scenarios=(),  # empty = the whole catalog
@@ -480,8 +449,8 @@ class TestFullCatalogByteIdentity:
         )
         spec.validate()
         assert len(spec.resolved_scenarios()) >= 9  # the full catalog
-        with pytest.warns(DeprecationWarning):
-            legacy = render_json(run_study(spec, workers=1).policy_map)
-        session = Session(execution=ExecutionPolicy(workers=2))
-        streamed = render_json(session.study(spec).policy_map)
-        assert legacy == streamed
+        serial = Session(execution=ExecutionPolicy(workers=1)).study(spec)
+        pooled = Session(execution=ExecutionPolicy(workers=2)).study(spec)
+        rendered = render_json(serial.policy_map)
+        assert rendered == render_json(pooled.policy_map)
+        assert md5(rendered) == STUDY_JSON_MD5[tuple(list_scenarios())]

@@ -6,12 +6,10 @@ import pytest
 
 from repro.bench import (
     DEFAULT_SCENARIOS,
-    FUSION_SLACK_FLOOR,
     bench_formulas,
     bench_scenario,
     calibration_ratio,
     compare_bench,
-    fusion_regressions,
     host_calibration,
     kernel_gain,
     load_bench_json,
@@ -114,84 +112,6 @@ class TestKernelGain:
         assert gain["scenarios"] == {}
         assert gain["min_speedup"] is None
         assert gain["geomean_speedup"] is None
-
-
-def _fusion_entry(fused, unfused, fused_stddev=0.0, unfused_stddev=0.0):
-    data = _artifact()
-    data["scenarios"]["flash_crowd"]["fusion"] = {
-        "fused_events_per_s": fused,
-        "unfused_events_per_s": unfused,
-        "speedup": round(fused / unfused, 3),
-        "paired_speedups": [round(fused / unfused, 4)] * 3,
-        "fused_wall_stats": {
-            "best_s": 0.2, "mean_s": 0.21, "stddev_s": fused_stddev,
-            "samples": 3,
-        },
-        "unfused_wall_stats": {
-            "best_s": 0.2, "mean_s": 0.21, "stddev_s": unfused_stddev,
-            "samples": 3,
-        },
-    }
-    return data
-
-
-class TestFusionGate:
-    def test_clean_when_fused_faster(self):
-        assert fusion_regressions(_fusion_entry(1100.0, 1000.0)) == []
-
-    def test_slack_floor_absorbs_jitter(self):
-        # A few percent under unfused is measurement noise, not a
-        # regression — even when the repeat spread measures zero.
-        drop = 1.0 - FUSION_SLACK_FLOOR / 2
-        assert fusion_regressions(_fusion_entry(1000.0 * drop, 1000.0)) == []
-
-    def test_fails_beyond_slack_floor(self):
-        messages = fusion_regressions(_fusion_entry(880.0, 1000.0))
-        assert len(messages) == 1
-        assert "flash_crowd" in messages[0]
-        assert "12.0%" in messages[0]
-
-    def test_measured_noise_widens_the_gate(self):
-        # 12% down but with a 15% repeat spread: inconclusive, no fail.
-        data = _fusion_entry(880.0, 1000.0, fused_stddev=0.03)
-        assert fusion_regressions(data) == []
-
-    def test_scenarios_without_fusion_data_skipped(self):
-        assert fusion_regressions(_artifact()) == []
-
-    def test_single_repeat_lanes_never_gate(self):
-        # One sample per side measures jitter, not fusion.
-        data = _fusion_entry(700.0, 1000.0)
-        fusion = data["scenarios"]["flash_crowd"]["fusion"]
-        fusion["fused_wall_stats"]["samples"] = 1
-        fusion["unfused_wall_stats"]["samples"] = 1
-        assert fusion_regressions(data) == []
-
-    def test_paired_median_outvotes_skewed_minima(self):
-        # A host-load spike during the fused samples skews the global
-        # minima 12% apart, but each back-to-back pair stayed ~even —
-        # the paired median says "no regression" and the gate takes the
-        # more favorable estimator.
-        data = _fusion_entry(880.0, 1000.0)
-        fusion = data["scenarios"]["flash_crowd"]["fusion"]
-        fusion["paired_speedups"] = [0.99, 1.0, 1.01]
-        assert fusion_regressions(data) == []
-
-    def test_clean_minima_outvote_skewed_pairs(self):
-        # The mirror case: a sustained load episode dragged most pairs
-        # down, but the best-of-N minima — one clean sample per side is
-        # enough — read even.  A real regression would depress both.
-        data = _fusion_entry(1000.0, 1000.0)
-        fusion = data["scenarios"]["flash_crowd"]["fusion"]
-        fusion["paired_speedups"] = [0.9, 0.91, 0.92]
-        assert fusion_regressions(data) == []
-
-    def test_artifacts_without_pairs_fall_back_to_minima(self):
-        data = _fusion_entry(880.0, 1000.0)
-        del data["scenarios"]["flash_crowd"]["fusion"]["paired_speedups"]
-        messages = fusion_regressions(data)
-        assert len(messages) == 1
-        assert "12.0%" in messages[0]
 
 
 class TestHostCalibration:

@@ -123,7 +123,8 @@ def test_worker_command_drains_a_distributed_sweep(capsys):
     import threading
 
     from repro.backends import DistributedBackend
-    from repro.sweep import SweepSpec, run_sweep
+    from repro.api import ExecutionPolicy, Session
+    from repro.sweep import SweepSpec
 
     jobs = SweepSpec(
         policies=("none",), traffic=("load:800",),
@@ -131,8 +132,9 @@ def test_worker_command_drains_a_distributed_sweep(capsys):
     ).jobs()
     backend = DistributedBackend(port=0)
     result = {}
+    session = Session(execution=ExecutionPolicy(backend=backend))
     sweep = threading.Thread(
-        target=lambda: result.update(outcomes=run_sweep(jobs, backend=backend)),
+        target=lambda: result.update(outcomes=session.sweep(jobs)),
         daemon=True,
     )
     sweep.start()

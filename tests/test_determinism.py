@@ -7,7 +7,7 @@ Pins down three contracts future scaling PRs must not break:
   must always be a deliberate, reviewed event (update the goldens in
   the same commit that changes the hashing scheme).
 * **Worker count never changes results** — serial and parallel
-  ``run_sweep`` outputs are bit-identical, down to the serialized dict.
+  session sweep outputs are bit-identical, down to the serialized dict.
 * **Cache replay is lossless** — a ``ResultStore`` reloaded from disk
   returns rows bit-identical to the outcomes that produced them.
 """
@@ -16,8 +16,9 @@ import json
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session, StorePolicy
 from repro.config import DvsConfig, RunConfig, TrafficConfig
-from repro.sweep import Job, ResultStore, SweepSpec, config_hash, run_sweep
+from repro.sweep import Job, ResultStore, SweepSpec, config_hash
 
 #: Golden identity hashes.  If a change to RunConfig defaults, the
 #: to_dict schema, or the hashing payload alters these, every existing
@@ -89,15 +90,15 @@ class TestSerialParallelBitIdentity:
     @pytest.mark.slow
     def test_outputs_bit_identical(self):
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
-        parallel = run_sweep(jobs, workers=3)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
+        parallel = Session(execution=ExecutionPolicy(workers=3)).sweep(jobs)
         assert outcome_dicts(serial) == outcome_dicts(parallel)
 
     @pytest.mark.slow
     def test_check_results_bit_identical(self):
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
-        parallel = run_sweep(jobs, workers=2)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
+        parallel = Session(execution=ExecutionPolicy(workers=2)).sweep(jobs)
         for s, p in zip(serial, parallel):
             assert [c.to_dict() for c in s.check_results] == [
                 c.to_dict() for c in p.check_results
@@ -109,9 +110,15 @@ class TestStoreReplay:
     def test_replay_rows_bit_identical(self, tmp_path):
         path = str(tmp_path / "results.jsonl")
         jobs = small_spec(policies=("none", "tdvs")).jobs()
-        fresh = run_sweep(jobs, workers=1, store=ResultStore(path))
+        fresh = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
 
-        replayed = run_sweep(jobs, workers=1, store=ResultStore(path))
+        replayed = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep(jobs)
         assert all(o.cached for o in replayed)
         assert outcome_dicts(fresh) == outcome_dicts(replayed)
 
@@ -120,7 +127,10 @@ class TestStoreReplay:
         (job,) = small_spec(
             policies=("none",), traffic=("scenario:link_failover",)
         ).jobs()
-        (fresh,) = run_sweep([job], workers=1, store=ResultStore(path))
+        (fresh,) = Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep([job])
         cached = ResultStore(path).get(job.job_id)
         assert cached is not None
         assert [c.to_dict() for c in cached.check_results] == [
@@ -134,7 +144,10 @@ class TestStoreReplay:
         (job,) = small_spec(
             policies=("none",), traffic=("load:900",), checks=()
         ).jobs()
-        run_sweep([job], workers=1, store=ResultStore(path))
+        Session(
+            execution=ExecutionPolicy(workers=1),
+            store=StorePolicy(store=ResultStore(path)),
+        ).sweep([job])
         record = json.loads(open(path).readline())
         record.pop("check_results")
         (tmp_path / "legacy.jsonl").write_text(json.dumps(record) + "\n")

@@ -1,37 +1,31 @@
-"""Fast-path equivalence tests: materialized / fused step execution.
+"""Fast-path equivalence tests: materialized vs lazy step execution.
 
 The microengine materializes a pure app's step stream at packet bind
-(list iteration instead of generator resumption) and, by default, fuses
-adjacent computes into one relay-executed block.  These tests pin the
+(list iteration instead of generator resumption).  These tests pin the
 contract at two levels: per-ME observables — completion times,
 instruction counts, state totals, kernel seq layout — are identical to
-lazy unfused execution, including under stalls, frequency changes and
-runs that end mid-block; and full-system study JSON is byte-identical
-fused vs unfused across the scenario catalog, the execution backends
-and both monitor modes (the tie-ordering wall behind flipping fusion on
-by default).
+lazy execution, including under stalls, frequency changes and runs that
+end mid-compute; and full-system study JSON is byte-identical across
+the execution backends and both monitor modes, and equal to pinned
+digests (the equal-picosecond tie-ordering wall).
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExecutionPolicy, Session
 from repro.config import MemoryConfig
 from repro.loc.monitor import MONITOR_MODE_ENV_VAR
 from repro.npu.memqueue import build_memories
-from repro.npu.microengine import (
-    BUSY,
-    FUSE_ENV_VAR,
-    IDLE,
-    STALLED,
-    Microengine,
-    fusion_enabled,
-)
-from repro.npu.steps import Compute, FusedCompute, MemRead, materialize_steps
+from repro.npu.microengine import BUSY, IDLE, STALLED, Microengine
+from repro.npu.steps import Compute, MemRead
 from repro.scenarios import list_scenarios
 from repro.sim.clock import ClockDomain
 from repro.sim.kernel import Simulator
-from repro.studies import StudySpec, run_study
+from repro.studies import StudySpec
 from repro.studies.report import render_json
 from repro.units import mhz
 
@@ -39,7 +33,7 @@ from test_microengine import ListSource
 from test_traffic import make_packet
 
 
-def fusable_steps(packet):
+def compute_run_steps(packet):
     """Irregular compute runs around a memory reference."""
     yield Compute(101)
     yield Compute(203)
@@ -51,11 +45,10 @@ def fusable_steps(packet):
 
 def run_me(
     materialize,
-    fuse=False,
     perturb=None,
     until=60_000_000,
     npackets=4,
-    steps_fn=fusable_steps,
+    steps_fn=compute_run_steps,
     num_threads=4,
     ctx_switch_cycles=1,
     resume_until=None,
@@ -78,7 +71,6 @@ def run_me(
         ctx_switch_cycles=ctx_switch_cycles,
         on_packet_done=lambda p: done.append(sim.now_ps),
         materialize=materialize,
-        fuse=fuse,
     )
     me.start()
     if perturb is not None:
@@ -91,8 +83,8 @@ def run_me(
         "polls": me.polls,
         "mem_accesses": me.mem_accesses,
         "totals": dict(me.states.totals_ps()),
-        # The tie-ordering contract in its rawest form: fused and
-        # unfused execution must draw exactly the same kernel sequence
+        # The tie-ordering contract in its rawest form: materialized
+        # and lazy execution must draw exactly the same kernel sequence
         # numbers and deliver the same number of events.
         "kernel_seqs": sim._seq,
         "events_executed": sim.events_executed,
@@ -109,39 +101,30 @@ def assert_equivalent(perturb=None, until=60_000_000, resume_until=None):
     lazy = run_me(
         materialize=False, perturb=perturb, until=until, resume_until=resume_until
     )
-    fused = run_me(
-        materialize=True,
-        fuse=True,
-        perturb=perturb,
-        until=until,
-        resume_until=resume_until,
+    listed = run_me(
+        materialize=True, perturb=perturb, until=until, resume_until=resume_until
     )
-    assert fused == lazy
+    assert listed == lazy
 
 
 class TestMaterializedEquivalence:
-    def test_materialize_without_fuse_is_identical(self):
-        lazy = run_me(materialize=False)
-        listed = run_me(materialize=True, fuse=False)
-        assert listed == lazy
-
-    def test_fused_plain_run(self):
+    def test_materialized_plain_run(self):
         assert_equivalent()
 
-    def test_fused_with_stall_mid_block(self):
-        # 400_000 ps lands inside the second compute of the first block.
+    def test_materialized_with_stall_mid_run(self):
+        # 400_000 ps lands inside the second compute of the first run.
         def perturb(sim, me):
             sim.schedule_at(400_000, me.stall_for, 2_000_000)
 
         assert_equivalent(perturb=perturb)
 
-    def test_fused_with_frequency_change_mid_block(self):
+    def test_materialized_with_frequency_change_mid_run(self):
         def perturb(sim, me):
             sim.schedule_at(400_000, me.set_vf, mhz(300), 1.0)
 
         assert_equivalent(perturb=perturb)
 
-    def test_fused_with_vf_change_and_penalty_mid_block(self):
+    def test_materialized_with_vf_change_and_penalty(self):
         # The governor pattern: retune, then freeze for the transition.
         def perturb(sim, me):
             def transition():
@@ -152,53 +135,17 @@ class TestMaterializedEquivalence:
 
         assert_equivalent(perturb=perturb)
 
-    def test_fused_run_ending_mid_block_settles_counters(self):
-        # 450_000 ps is inside the third compute of the first block; the
-        # run-end settle must refund un-started parts and the resumed run
-        # must land on exactly the lazy timeline.
+    def test_materialized_run_ending_mid_compute_resumes(self):
+        # 450_000 ps is inside the third compute of the first run; the
+        # counters at the cut and the resumed run must land on exactly
+        # the lazy timeline.
         assert_equivalent(until=450_000, resume_until=60_000_000)
 
-    def test_fused_stop_mid_block_keeps_charges(self):
+    def test_materialized_stop_mid_run_keeps_charges(self):
         def perturb(sim, me):
             sim.schedule_at(400_000, sim.stop)
 
         assert_equivalent(perturb=perturb, until=60_000_000)
-
-
-class TestMaterializeSteps:
-    def test_fuses_adjacent_computes(self):
-        steps = materialize_steps(fusable_steps(make_packet()))
-        kinds = [type(s).__name__ for s in steps]
-        assert kinds == ["FusedCompute", "MemRead", "FusedCompute"]
-        assert steps[0].parts == (101, 203, 307)
-        assert steps[0].instructions == 611
-        assert steps[2].parts == (53, 71)
-
-    def test_single_computes_stay_unfused(self):
-        def stream():
-            yield Compute(10)
-            yield MemRead("sram", 4)
-            yield Compute(20)
-
-        steps = materialize_steps(stream())
-        assert [type(s).__name__ for s in steps] == [
-            "Compute",
-            "MemRead",
-            "Compute",
-        ]
-
-    def test_fuse_false_preserves_objects(self):
-        original = list(fusable_steps(make_packet()))
-        steps = materialize_steps(iter(original), fuse=False)
-        assert steps == original
-
-    def test_fused_compute_validates_parts(self):
-        from repro.errors import NpuError
-
-        with pytest.raises(NpuError):
-            FusedCompute((5,))
-        with pytest.raises(NpuError):
-            FusedCompute((5, 0))
 
 
 class TestAccountingBugfixes:
@@ -287,19 +234,29 @@ class TestAccountingBugfixes:
 # Full-system tie-ordering wall
 # ---------------------------------------------------------------------------
 
-#: The four catalog scenarios whose seq layout diverged under the old
-#: block-fusion scheme — the regression-sensitive subset run in the fast
-#: lane.  The full catalog and the backend / monitor-mode cross products
-#: run in the slow lane.
+#: Four catalog scenarios whose kernel seq layout is sensitive to
+#: equal-picosecond tie ordering — the regression-sensitive subset run
+#: in the fast lane.  The full catalog and the backend / monitor-mode
+#: cross products run in the slow lane.
 DIVERGER_SCENARIOS = ("ddos_min64", "imix_drift", "link_failover", "weekend_diurnal")
+
+#: md5 of :func:`catalog_study_json` per scenario set, pinned from the
+#: serial compiled-monitor render.  Any change to event ordering within
+#: a picosecond moves these.
+STUDY_JSON_MD5 = {
+    ("ddos_min64",): "bed14a46cfc218de18b5b045c334b1dd",
+    ("imix_drift",): "f2a936e4fcacad4282166e2a05c8c301",
+    ("link_failover",): "cd9e1ce5a57188f579f01654a1b83d56",
+    ("weekend_diurnal",): "e557e98a5f25ba9b609459fbe2d3a107",
+    tuple(list_scenarios()): "771d8b154b0f8639120c8b301149a1e9",
+}
 
 
 def catalog_study_json(
-    monkeypatch, scenarios, fuse, backend=None, workers=1, monitor_mode=None
+    monkeypatch, scenarios, backend=None, workers=1, monitor_mode=None
 ):
-    """Render the study-report JSON for ``scenarios`` under one fusion
-    setting, using the short deterministic grid from the backend tests."""
-    monkeypatch.setenv(FUSE_ENV_VAR, "on" if fuse else "off")
+    """Render the study-report JSON for ``scenarios``, using the short
+    deterministic grid from the backend tests."""
     if monitor_mode is None:
         monkeypatch.delenv(MONITOR_MODE_ENV_VAR, raising=False)
     else:
@@ -314,88 +271,71 @@ def catalog_study_json(
         seeds=(11,),
     )
     spec.validate()
-    if backend is not None:
-        result = run_study(spec, backend=backend)
-    else:
-        result = run_study(spec, workers=workers)
-    return render_json(result.policy_map)
+    session = Session(execution=ExecutionPolicy(backend=backend, workers=workers))
+    return render_json(session.study(spec).policy_map)
+
+
+def md5(text):
+    return hashlib.md5(text.encode()).hexdigest()
 
 
 class TestFullSystemTieOrdering:
-    """Fused execution is a pure speed change: the rendered study JSON —
-    every counter, timestamp and derived metric — is byte-identical to
-    unfused execution, in every scenario, on every backend, in both
+    """The rendered study JSON — every counter, timestamp and derived
+    metric — is pinned, and byte-identical on every backend and in both
     monitor modes."""
-
-    def test_fusion_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(FUSE_ENV_VAR, raising=False)
-        assert fusion_enabled() is True
-        monkeypatch.setenv(FUSE_ENV_VAR, "off")
-        assert fusion_enabled() is False
 
     def test_diverger_scenarios_byte_identical_serial(self, monkeypatch):
         for scenario in DIVERGER_SCENARIOS:
-            fused = catalog_study_json(monkeypatch, (scenario,), fuse=True)
-            unfused = catalog_study_json(monkeypatch, (scenario,), fuse=False)
-            assert fused == unfused, scenario
+            render = catalog_study_json(monkeypatch, (scenario,))
+            assert md5(render) == STUDY_JSON_MD5[(scenario,)], scenario
 
     @pytest.mark.slow
     def test_full_catalog_byte_identical_serial(self, monkeypatch):
         names = tuple(list_scenarios())
         assert len(names) == 9
-        fused = catalog_study_json(monkeypatch, names, fuse=True)
-        unfused = catalog_study_json(monkeypatch, names, fuse=False)
-        assert fused == unfused
+        render = catalog_study_json(monkeypatch, names)
+        assert md5(render) == STUDY_JSON_MD5[names]
 
     @pytest.mark.slow
-    def test_process_backend_fused_matches_serial_unfused(self, monkeypatch):
+    def test_process_backend_matches_serial(self, monkeypatch):
         from repro.backends import ProcessBackend
 
-        serial_unfused = catalog_study_json(
-            monkeypatch, ("ddos_min64",), fuse=False
+        serial = catalog_study_json(monkeypatch, ("ddos_min64",))
+        pool = catalog_study_json(
+            monkeypatch, ("ddos_min64",), backend=ProcessBackend(workers=2)
         )
-        pool_fused = catalog_study_json(
-            monkeypatch,
-            ("ddos_min64",),
-            fuse=True,
-            backend=ProcessBackend(workers=2),
-        )
-        assert pool_fused == serial_unfused
+        assert pool == serial
 
     @pytest.mark.slow
-    def test_distributed_backend_fused_matches_serial_unfused(self, monkeypatch):
+    def test_distributed_backend_matches_serial(self, monkeypatch):
         from repro.backends import DistributedBackend
 
         from test_backends import start_worker
 
-        serial_unfused = catalog_study_json(
-            monkeypatch, ("link_failover",), fuse=False
-        )
+        serial = catalog_study_json(monkeypatch, ("link_failover",))
         backend = DistributedBackend(port=0)
         workers = [start_worker(backend.address) for _ in range(2)]
-        distributed_fused = catalog_study_json(
-            monkeypatch, ("link_failover",), fuse=True, backend=backend
+        distributed = catalog_study_json(
+            monkeypatch, ("link_failover",), backend=backend
         )
         for worker in workers:
             worker.join(timeout=60)
-        assert distributed_fused == serial_unfused
+        assert distributed == serial
 
     def test_monitor_modes_byte_identical(self, monkeypatch):
         renders = {
-            (fuse, mode): catalog_study_json(
-                monkeypatch, ("weekend_diurnal",), fuse=fuse, monitor_mode=mode
+            mode: catalog_study_json(
+                monkeypatch, ("weekend_diurnal",), monitor_mode=mode
             )
-            for fuse in (False, True)
             for mode in ("compiled", "interpreted")
         }
-        baseline = renders[(False, "compiled")]
-        for key, render in renders.items():
-            assert render == baseline, key
+        assert renders["interpreted"] == renders["compiled"]
+        assert md5(renders["compiled"]) == STUDY_JSON_MD5[("weekend_diurnal",)]
 
 
-class TestFusedSeqLayoutProperty:
+class TestSeqLayoutProperty:
     """Hypothesis wall: under *any* schedule of stalls and V-F changes,
-    fused execution draws exactly the unfused kernel seq layout."""
+    materialized execution draws exactly the lazy kernel seq layout."""
 
     @given(
         schedule=st.lists(
@@ -418,5 +358,5 @@ class TestFusedSeqLayoutProperty:
                     sim.schedule_at(when_ps, me.stall_for, stall_ps)
 
         lazy = run_me(materialize=False, perturb=perturb)
-        fused = run_me(materialize=True, fuse=True, perturb=perturb)
-        assert fused == lazy
+        listed = run_me(materialize=True, perturb=perturb)
+        assert listed == lazy

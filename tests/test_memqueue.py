@@ -114,3 +114,41 @@ def test_sdram_slower_than_sram():
     sdram.request(64, lambda: done.__setitem__("sdram", sim.now_ps))
     sim.run()
     assert done["sdram"] > done["sram"]
+
+
+def test_posted_request_queues_no_event_but_keeps_accounting():
+    """A request without a callback (a posted transfer) schedules
+    nothing, yet occupies the server and is charged in full."""
+    sim = Simulator()
+    charged = []
+    resource = make_resource(sim, on_energy=lambda name, n: charged.append((name, n)))
+    done = resource.request(64)
+    assert sim.pending_events == 0
+    assert done == 124_000
+    assert resource._free_at_ps == 84_000  # occupancy 20 + 64 bytes
+    assert resource.requests == 1
+    assert resource.bytes_moved == 64
+    assert resource.busy_ps == 84_000
+    assert charged == [("mem", 64)]
+
+
+def test_blocking_request_after_posted_sees_same_queueing_wait():
+    """The next blocking request queues behind a posted transfer
+    exactly as it would behind one that fired a completion event."""
+
+    def blocking_after(first_callback):
+        sim = Simulator()
+        resource = make_resource(sim)
+        if first_callback is None:
+            resource.request(64)
+        else:
+            resource.request(64, first_callback)
+        done = []
+        resource.request(32, lambda: done.append(sim.now_ps))
+        sim.run()
+        return done, resource.total_wait_ps, resource.max_wait_ps
+
+    posted = blocking_after(None)
+    assert posted == blocking_after(lambda: None)
+    # Starts at 84 ns (the posted transfer's occupancy): 84 + 60 + 32.
+    assert posted == ([176_000], 84_000, 84_000)

@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro.api import ExecutionPolicy, Session
 from repro.backends import DistributedBackend
 from repro.backends.worker import run_worker
 from repro.cli import main
@@ -35,7 +36,7 @@ from repro.obs.spans import (
 )
 from repro.studies import StudySpec
 from repro.studies.report import render_html, render_json
-from repro.sweep import SweepSpec, run_sweep
+from repro.sweep import SweepSpec
 
 #: Short, deterministic grid shared by the execution tests (the
 #: test_backends shape).
@@ -194,7 +195,9 @@ class TestSpanRecorder:
 # ---------------------------------------------------------------------------
 class TestSimSpanDeterminism:
     def test_outcomes_carry_sim_spans(self, spans_on):
-        outcomes = run_sweep(small_spec().jobs(), workers=1)
+        outcomes = Session(
+            execution=ExecutionPolicy(workers=1),
+        ).sweep(small_spec().jobs())
         for outcome in outcomes:
             spans = outcome.obs["spans"]
             tracks = {s["track"] for s in spans}
@@ -207,20 +210,20 @@ class TestSimSpanDeterminism:
 
     def test_process_pool_matches_serial(self, spans_on):
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
-        pooled = run_sweep(jobs, workers=2)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
+        pooled = Session(execution=ExecutionPolicy(workers=2)).sweep(jobs)
         assert sim_spans_of(serial) == sim_spans_of(pooled)
 
     def test_monitor_mode_does_not_move_spans(self, spans_on, monkeypatch):
         jobs = small_spec().jobs()
-        compiled = run_sweep(jobs, workers=1)
+        compiled = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
-        interpreted = run_sweep(jobs, workers=1)
+        interpreted = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         assert sim_spans_of(compiled) == sim_spans_of(interpreted)
 
     def test_scenario_traffic_records_segments(self, spans_on):
         spec = small_spec(traffic=("scenario:flash_crowd",))
-        outcomes = run_sweep(spec.jobs(), workers=1)
+        outcomes = Session(execution=ExecutionPolicy(workers=1)).sweep(spec.jobs())
         spans = outcomes[0].obs["spans"]
         segments = [s for s in spans if s["track"] == "scenario"]
         assert segments and all(s["name"].startswith("segment") for s in segments)
@@ -229,7 +232,9 @@ class TestSimSpanDeterminism:
     def test_off_switch_removes_span_payload(self, monkeypatch):
         monkeypatch.setenv(OBS_SPANS_ENV_VAR, "off")
         reset_recorder()
-        outcomes = run_sweep(small_spec().jobs(), workers=1)
+        outcomes = Session(
+            execution=ExecutionPolicy(workers=1),
+        ).sweep(small_spec().jobs())
         assert all(
             o.obs is None or "spans" not in o.obs for o in outcomes
         )
@@ -313,14 +318,14 @@ class TestSessionSpans:
 class TestDistributedSpans:
     def test_distributed_sim_spans_match_serial(self, spans_on):
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         backend = DistributedBackend(port=0)
         worker = threading.Thread(
             target=run_worker, args=(backend.address,),
             kwargs={"log": None}, daemon=True,
         )
         worker.start()
-        distributed = run_sweep(jobs, backend=backend)
+        distributed = Session(execution=ExecutionPolicy(backend=backend)).sweep(jobs)
         worker.join(timeout=30)
         assert sim_spans_of(serial) == sim_spans_of(distributed)
 
@@ -332,7 +337,7 @@ class TestDistributedSpans:
         import sys
 
         jobs = small_spec().jobs()
-        serial = run_sweep(jobs, workers=1)
+        serial = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         # The serial reference run above recorded its own
         # ``worker:serial`` lane; start clean so the absence check below
         # sees only the distributed run.
@@ -352,7 +357,9 @@ class TestDistributedSpans:
             env=env, cwd=repo_root,
         )
         try:
-            distributed = run_sweep(jobs, backend=backend)
+            distributed = Session(
+                execution=ExecutionPolicy(backend=backend),
+            ).sweep(jobs)
         finally:
             worker.wait(timeout=30)
         assert [o.job_id for o in distributed] == [o.job_id for o in serial]
