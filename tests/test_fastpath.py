@@ -108,8 +108,10 @@ def assert_equivalent(perturb=None, until=60_000_000, resume_until=None):
 
 
 class TestMaterializedEquivalence:
-    def test_materialized_plain_run(self):
-        assert_equivalent()
+    def test_materialize_without_fuse_is_identical(self):
+        lazy = run_me(materialize=False)
+        listed = run_me(materialize=True)
+        assert listed == lazy
 
     def test_materialized_with_stall_mid_run(self):
         # 400_000 ps lands inside the second compute of the first run.
