@@ -8,8 +8,8 @@ artifact CI tracks run over run:
 
 * **run wall-clock** — the same configuration simulated three ways:
   unobserved (no subscribers: the bus binds no-op emitters), with the
-  interpretive checking path (``REPRO_LOC_MONITOR=interpreted``
-  semantics: wildcard sinks, per-event :class:`TraceEvent` allocation,
+  interpretive checking path (``build_monitor(..., mode="interpreted")``:
+  wildcard sinks, per-event :class:`TraceEvent` allocation,
   AST-walking evaluator) and with compiled monitors (the default:
   tuple rows on the :class:`~repro.trace.bus.TraceBus`, ring-buffer
   closures);

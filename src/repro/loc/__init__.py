@@ -25,7 +25,7 @@ methodology end to end:
   ring-buffer monitors (:func:`~repro.loc.monitor.build_monitor`) that
   subscribe directly to the run's :class:`~repro.trace.bus.TraceBus`,
   with the interpretive evaluator kept as a proven-equivalent fallback
-  (``REPRO_LOC_MONITOR=interpreted``);
+  (``build_monitor(..., mode="interpreted")``);
 * a **code generator** that emits a standalone, dependency-free Python
   analyzer for a formula, and the online-monitor compiler behind the
   monitor API (:mod:`~repro.loc.codegen`) — the paper's
@@ -59,11 +59,9 @@ from repro.loc.codegen import (
 from repro.loc.evaluator import StreamingEvaluator
 from repro.loc.lexer import Token, tokenize
 from repro.loc.monitor import (
-    MONITOR_MODE_ENV_VAR,
     CompiledMonitor,
     InterpretedMonitor,
     build_monitor,
-    resolve_monitor_mode,
     run_monitor,
 )
 from repro.loc.parser import parse_formula
@@ -79,7 +77,6 @@ __all__ = [
     "DistributionResult",
     "IndexExpr",
     "InterpretedMonitor",
-    "MONITOR_MODE_ENV_VAR",
     "Negate",
     "Number",
     "StreamingEvaluator",
@@ -95,7 +92,6 @@ __all__ = [
     "monitor_event",
     "parse_formula",
     "power_distribution_formula",
-    "resolve_monitor_mode",
     "run_monitor",
     "throughput_distribution_formula",
     "tokenize",

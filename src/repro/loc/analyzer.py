@@ -276,13 +276,13 @@ class DistributionAnalyzer:
 def analyze_trace(
     formula: Union[str, DistributionFormula],
     events: Iterable[TraceEvent],
-    mode: Optional[str] = None,
+    mode: str = "compiled",
 ) -> DistributionResult:
     """Run a distribution analysis over an event iterable.
 
     Routes through :func:`repro.loc.monitor.build_monitor`, so offline
-    trace analysis gets the compiled fast path too; ``mode`` (or
-    ``REPRO_LOC_MONITOR``) selects the interpretive fallback.
+    trace analysis gets the compiled fast path too;
+    ``mode="interpreted"`` selects the interpretive fallback.
     """
     from repro.loc.monitor import build_monitor, run_monitor
 

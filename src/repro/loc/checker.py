@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Union
 
 from repro.errors import LocError
 from repro.loc.ast_nodes import CheckerFormula
@@ -193,13 +193,13 @@ def check_trace(
     formula: Union[str, CheckerFormula],
     events: Iterable[TraceEvent],
     max_recorded_violations: int = 100,
-    mode: Optional[str] = None,
+    mode: str = "compiled",
 ) -> CheckResult:
     """Check ``formula`` over an event iterable and return the result.
 
     Routes through :func:`repro.loc.monitor.build_monitor`, so offline
-    trace analysis gets the compiled fast path too; ``mode`` (or
-    ``REPRO_LOC_MONITOR``) selects the interpretive fallback.
+    trace analysis gets the compiled fast path too;
+    ``mode="interpreted"`` selects the interpretive fallback.
     """
     from repro.loc.monitor import build_monitor, run_monitor
 

@@ -23,9 +23,9 @@ Two implementations stand behind the same interface:
   / :class:`~repro.loc.analyzer.DistributionAnalyzer`, both driven by
   the interpretive :class:`~repro.loc.evaluator.StreamingEvaluator`)
   as a wildcard structured sink.  Formulas outside the compiled
-  specialization land here automatically; ``REPRO_LOC_MONITOR=interpreted``
-  forces it everywhere (the escape hatch, and the differential-test
-  baseline).
+  specialization land here automatically; ``mode="interpreted"``
+  forces it (the differential-test baseline and the bench's
+  interpreted lane).
 
 The two are proven result-identical by the differential wall in
 ``tests/test_monitors.py``.
@@ -34,7 +34,6 @@ The two are proven result-identical by the differential wall in
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable, Optional, Union
 
 from repro.errors import ExperimentError, LocError
@@ -45,25 +44,7 @@ from repro.loc.codegen import compile_monitor_feed, monitor_event
 from repro.loc.parser import parse_formula
 from repro.trace.events import TraceEvent
 
-#: Environment override for the default monitor mode (``compiled`` /
-#: ``interpreted``).  Worker processes inherit it, so a whole
-#: distributed sweep can be flipped to the interpretive baseline
-#: without touching call sites.
-MONITOR_MODE_ENV_VAR = "REPRO_LOC_MONITOR"
-
 _MODES = ("compiled", "interpreted")
-
-
-def resolve_monitor_mode(mode: Optional[str] = None) -> str:
-    """The effective monitor mode: explicit > environment > compiled."""
-    value = mode if mode is not None else os.environ.get(MONITOR_MODE_ENV_VAR, "")
-    value = value.strip().lower() or "compiled"
-    if value not in _MODES:
-        raise ExperimentError(
-            f"monitor mode must be one of {_MODES}, got {value!r} "
-            f"(check {MONITOR_MODE_ENV_VAR})"
-        )
-    return value
 
 
 class CompiledMonitor:
@@ -194,21 +175,24 @@ Monitor = Union[CompiledMonitor, InterpretedMonitor]
 
 def build_monitor(
     formula: Union[str, Formula],
-    mode: Optional[str] = None,
+    mode: str = "compiled",
     max_recorded_violations: int = 100,
     expect: Optional[str] = None,
 ) -> Monitor:
     """Build an online monitor for ``formula``.
 
-    ``mode`` is ``"compiled"`` / ``"interpreted"`` / ``None`` (defer to
-    ``REPRO_LOC_MONITOR``, default compiled).  Compiled mode silently
-    falls back to the interpretive monitor for formulas outside the
-    compiler's specialization, so the choice never changes results —
-    only speed.
+    ``mode`` is ``"compiled"`` (the default) or ``"interpreted"``.
+    Compiled mode silently falls back to the interpretive monitor for
+    formulas outside the compiler's specialization, so the choice never
+    changes results — only speed.
 
     ``expect`` (``"checker"`` / ``"distribution"``) asserts the formula
     kind, mirroring :func:`repro.loc.checker.build_checker`'s guard.
     """
+    if mode not in _MODES:
+        raise ExperimentError(
+            f"monitor mode must be one of {_MODES}, got {mode!r}"
+        )
     parsed = parse_formula(formula) if isinstance(formula, str) else formula
     if expect == "checker" and not isinstance(parsed, CheckerFormula):
         raise LocError(
@@ -220,7 +204,7 @@ def build_monitor(
             "expected a distribution formula (in/below/above <...>); "
             "got a checker formula — use build_checker for those"
         )
-    if resolve_monitor_mode(mode) == "compiled" and monitor_event(parsed):
+    if mode == "compiled" and monitor_event(parsed):
         return CompiledMonitor(
             parsed, max_recorded_violations=max_recorded_violations
         )

@@ -23,10 +23,8 @@ job's fate is sealed:
 Everything here is **opt-in** via
 :attr:`repro.api.policy.ExecutionPolicy.early_abort`; with the policy
 unset no gate ever subscribes and runs are byte-identical to an
-ungated release.  A gated run is *not* byte-guaranteed even when no
-gate trips: subscribing the ``arrival`` channel reads annotations at
-instants primary events never settle (see
-:meth:`repro.trace.bus.TraceBus.emitter`).
+ungated release.  Gates only read the trace, so a gate that never
+trips leaves the run's totals equal, bit for bit, to an ungated run's.
 """
 
 from __future__ import annotations

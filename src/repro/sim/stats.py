@@ -65,8 +65,12 @@ class TimeWeightedValue:
         return self._level
 
     def set(self, value: float) -> None:
-        """Change the signal level, effective now."""
-        self._settle()
+        """Change the signal level, effective now, folding the segment
+        that ends here into the running integral."""
+        now = self.sim.now_ps
+        if now > self._last_ps:
+            self._integral += self._level * (now - self._last_ps) / 1e12
+            self._last_ps = now
         self._level = float(value)
 
     def add(self, delta: float) -> None:
@@ -76,23 +80,16 @@ class TimeWeightedValue:
     @property
     def integral(self) -> float:
         """Time integral of the signal in (level-unit × seconds)."""
-        self._settle()
-        return self._integral
+        return self.integral_at(self.sim.now_ps)
 
     def integral_at(self, now_ps: int) -> float:
-        """Settle to ``now_ps`` (the current sim time) and return the
-        integral — one call instead of a property plus a settle, for
-        readers that poll many signals per trace event."""
-        if now_ps > self._last_ps:
-            self._integral += self._level * (now_ps - self._last_ps) / 1e12
-            self._last_ps = now_ps
-        return self._integral
+        """The integral up to ``now_ps`` (the current sim time).
 
-    def _settle(self) -> None:
-        now = self.sim.now_ps
-        if now > self._last_ps:
-            self._integral += self._level * (now - self._last_ps) / 1e12
-            self._last_ps = now
+        A pure read: only :meth:`set` folds a segment into the running
+        sum, so the float chunking grid is the signal's own change grid
+        and no reader — however often it polls — can move the result.
+        """
+        return self._integral + self._level * (now_ps - self._last_ps) / 1e12
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<TimeWeightedValue {self.name} level={self._level}>"

@@ -63,10 +63,10 @@ def run_job(job: Job) -> SweepOutcome:
     and every RNG stream derives from it.
 
     LOC analysis (the span distributions and ``job.checks``) rides the
-    run's :class:`~repro.trace.bus.TraceBus` as online monitors —
-    compiled by default, interpretive under
-    ``REPRO_LOC_MONITOR=interpreted`` — with results proven identical
-    either way (``tests/test_monitors.py``).
+    run's :class:`~repro.trace.bus.TraceBus` as compiled online
+    monitors, proven result-identical to the interpretive fallback
+    (``tests/test_monitors.py``).  Attaching them is a pure read: the
+    outcome's totals equal an unobserved run's bit for bit.
 
     When the job carries an early-abort policy (``job.early_abort``),
     streaming anomaly gates (:mod:`repro.obs.gates`) attach after the

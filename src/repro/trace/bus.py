@@ -104,8 +104,8 @@ class TraceBus:
         self._channels: Dict[str, Dict[str, Any]] = {}
         #: Whether per-channel counters are live.  ``None`` defers to
         #: ``REPRO_OBS_COUNTERS`` (default on); the bench overhead lane
-        #: passes ``False`` explicitly.  Counting never changes the
-        #: annotation read grid — it only adds integer increments.
+        #: passes ``False`` explicitly.  Counting only adds integer
+        #: increments.
         self.counting = _counting_default() if counting is None else counting
 
     # ------------------------------------------------------------------
@@ -125,11 +125,8 @@ class TraceBus:
         :class:`TraceEvent` is allocated on its account.
 
         ``sample=N`` subscribes at 1/N with a deterministic stride: the
-        handler sees the channel's first event and every N-th after it.
-        Sampling **never** moves the annotation settle grid — the bus
-        still snapshots the row at every event occurrence of a
-        subscribed name; a sampled handler merely skips its dispatch —
-        so numeric results are identical at any stride.  Skipped
+        handler sees the channel's first event and every N-th after it;
+        a sampled handler merely skips its dispatch.  Skipped
         dispatches are accounted as shed in :meth:`channel_stats`.
         Structured sinks (:meth:`attach_sink`) are never sampled.
         """
@@ -189,11 +186,7 @@ class TraceBus:
         dispatches to the name's tuple handlers but never to wildcard
         sinks.  Auxiliary instrumentation (memory-queue events) uses
         this so that opting into a trace file does not change its
-        contents.  Note that *subscribing* a named-only channel reads
-        the annotations at instants primary events never settle, which
-        can shift the energy accountant's float rounding — the
-        bit-identity guarantee covers the primary (``to_sinks``)
-        events only.
+        contents.
         """
         name = intern(name)
         key = name if to_sinks else f"{name}\x00named"
@@ -204,12 +197,9 @@ class TraceBus:
         sinks = list(self._sinks) if to_sinks else []
         if not entries and not sinks:
             if to_sinks and self.has_any_subscriber():
-                # An *observed* run historically read the annotations at
-                # every primary event occurrence, and the energy
-                # accountant's lazy integration makes that read grid
-                # part of the run's float identity.  Keep it: settle at
-                # this name's occurrences without materializing records.
-                emit = self._settle_emitter(key, name)
+                # On an observed run, unsubscribed primary channels
+                # still count what they publish (nothing is read).
+                emit = self._count_emitter(key, name)
             else:
                 emit = NOOP_EMITTER
         else:
@@ -243,9 +233,10 @@ class TraceBus:
              "shed":      dispatches skipped by sampled subscriptions}
 
         Unobserved (no-op bound) channels never count — producers skip
-        them entirely, so there is nothing to account.  Settle-bound
-        channels count published events with zero deliveries: that is
-        the backpressure picture of a heavy channel nobody drains.
+        them entirely, so there is nothing to account.  Unsubscribed
+        primary channels of an observed bus count published events
+        with zero deliveries: that is the backpressure picture of a
+        heavy channel nobody drains.
         """
         stats: Dict[str, Dict[str, int]] = {}
         for record in self._channels.values():
@@ -261,15 +252,13 @@ class TraceBus:
             entry["shed"] += published * record["sampled"] - sampled_delivered
         return stats
 
-    def _settle_emitter(self, key: str, name: str) -> Emitter:
-        settle = self._annotations.settle
+    def _count_emitter(self, key: str, name: str) -> Emitter:
         if not self.counting:
-            return settle
+            return NOOP_EMITTER
         cell = self._register_channel(key, name, full=0, sampled=0, sinks=0)
 
         def emit() -> None:
             cell[0] += 1
-            settle()
 
         return emit
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
+import repro.sweep.engine
 from repro.config import DvsConfig, RunConfig, TrafficConfig
+from repro.loc.monitor import build_monitor
 from repro.sim.kernel import Simulator
 from repro.trace.events import TraceEvent
 
@@ -13,6 +17,16 @@ from repro.trace.events import TraceEvent
 def sim() -> Simulator:
     """A fresh simulator."""
     return Simulator()
+
+
+def use_interpreted_monitors(monkeypatch) -> None:
+    """Make :func:`repro.sweep.engine.run_job` build interpretive LOC
+    monitors for the rest of the test (in-process runs only)."""
+    monkeypatch.setattr(
+        repro.sweep.engine,
+        "build_monitor",
+        partial(build_monitor, mode="interpreted"),
+    )
 
 
 def make_event(

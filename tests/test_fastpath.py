@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.api import ExecutionPolicy, Session
 from repro.config import MemoryConfig
-from repro.loc.monitor import MONITOR_MODE_ENV_VAR
+from repro.experiments.common import cycles_for, span_for
 from repro.npu.memqueue import build_memories
 from repro.npu.microengine import BUSY, IDLE, STALLED, Microengine
 from repro.npu.steps import Compute, MemRead
@@ -29,6 +29,7 @@ from repro.studies import StudySpec
 from repro.studies.report import render_json
 from repro.units import mhz
 
+from conftest import use_interpreted_monitors
 from test_microengine import ListSource
 from test_traffic import make_packet
 
@@ -244,14 +245,19 @@ DIVERGER_SCENARIOS = ("ddos_min64", "imix_drift", "link_failover", "weekend_diur
 
 #: md5 of :func:`catalog_study_json` per scenario set, pinned from the
 #: serial compiled-monitor render.  Any change to event ordering within
-#: a picosecond moves these.
+#: a picosecond, or to a float bit of an observed run, moves these.
 STUDY_JSON_MD5 = {
-    ("ddos_min64",): "bed14a46cfc218de18b5b045c334b1dd",
-    ("imix_drift",): "f2a936e4fcacad4282166e2a05c8c301",
-    ("link_failover",): "cd9e1ce5a57188f579f01654a1b83d56",
-    ("weekend_diurnal",): "e557e98a5f25ba9b609459fbe2d3a107",
-    tuple(list_scenarios()): "771d8b154b0f8639120c8b301149a1e9",
+    ("ddos_min64",): "ff310ebef81cba929759926a0cf7a0fe",
+    ("imix_drift",): "c73ec9c5d98210cbc3654ed4fae35192",
+    ("link_failover",): "71cbc9b2a110eb97551a68ac21152f74",
+    ("weekend_diurnal",): "b69123e981154a09f7bf166fe91213d3",
+    tuple(list_scenarios()): "1426c38c24dde5f6e9159c99ce283896",
 }
+
+#: md5 of the bench-profile full-catalog study render, i.e. the JSON
+#: that ``repro study --scenario all --policy tdvs,edvs --profile bench
+#: --json`` prints after its header line.
+BENCH_STUDY_JSON_MD5 = "f1ccbac432c4417206ac3b40371d3e18"
 
 
 def catalog_study_json(
@@ -259,10 +265,8 @@ def catalog_study_json(
 ):
     """Render the study-report JSON for ``scenarios``, using the short
     deterministic grid from the backend tests."""
-    if monitor_mode is None:
-        monkeypatch.delenv(MONITOR_MODE_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, monitor_mode)
+    if monitor_mode == "interpreted":
+        use_interpreted_monitors(monkeypatch)
     spec = StudySpec(
         scenarios=tuple(scenarios),
         policies=("tdvs", "edvs"),
@@ -297,6 +301,19 @@ class TestFullSystemTieOrdering:
         assert len(names) == 9
         render = catalog_study_json(monkeypatch, names)
         assert md5(render) == STUDY_JSON_MD5[names]
+
+    @pytest.mark.slow
+    def test_bench_profile_full_catalog_study_pinned(self):
+        spec = StudySpec(
+            scenarios=(),  # empty = the whole catalog
+            policies=("tdvs", "edvs"),
+            duration_cycles=cycles_for("bench"),
+            span=span_for("bench"),
+        )
+        spec.validate()
+        session = Session(execution=ExecutionPolicy(workers=2))
+        render = render_json(session.study(spec).policy_map)
+        assert md5(render) == BENCH_STUDY_JSON_MD5
 
     @pytest.mark.slow
     def test_process_backend_matches_serial(self, monkeypatch):

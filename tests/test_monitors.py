@@ -12,10 +12,10 @@ default.  Three layers of proof:
 * **golden traces** — every catalog scenario simulated once, its trace
   checked by both paths with the real study-gate and builtin formulas:
   results identical object-for-object;
-* **run_job identity** — a sweep job executed under
-  ``REPRO_LOC_MONITOR=compiled`` and ``=interpreted`` produces
-  byte-identical outcome dicts (the sweep/study bit-identity
-  guarantee).
+* **run_job identity** — a sweep job executed with compiled and with
+  interpreted monitors (``repro.sweep.engine.build_monitor`` patched to
+  ``mode="interpreted"``) produces byte-identical outcome dicts (the
+  sweep/study bit-identity guarantee).
 """
 
 import json
@@ -27,11 +27,9 @@ from repro.loc.analyzer import DistributionAnalyzer
 from repro.loc.checker import build_checker, check_trace
 from repro.loc.codegen import generate_monitor_source, monitor_event
 from repro.loc.monitor import (
-    MONITOR_MODE_ENV_VAR,
     CompiledMonitor,
     InterpretedMonitor,
     build_monitor,
-    resolve_monitor_mode,
     run_monitor,
 )
 from repro.loc.parser import parse_formula
@@ -41,6 +39,8 @@ from repro.sweep.spec import Job, SweepSpec
 from repro.sweep.engine import run_job
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import TraceEvent
+
+from conftest import use_interpreted_monitors
 
 
 def synthetic_events(count=400, seed=11, names=("forward", "fifo")):
@@ -129,25 +129,15 @@ class TestCompiledVsInterpreted:
 
 
 class TestMonitorModeResolution:
-    def test_default_is_compiled(self, monkeypatch):
-        monkeypatch.delenv(MONITOR_MODE_ENV_VAR, raising=False)
-        assert resolve_monitor_mode() == "compiled"
+    def test_default_is_compiled(self):
+        assert build_monitor(CHECKER_FORMULAS[0]).compiled
+        assert not build_monitor(CHECKER_FORMULAS[0], mode="interpreted").compiled
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
-        assert resolve_monitor_mode() == "interpreted"
-        assert not build_monitor(CHECKER_FORMULAS[0]).compiled
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
-        assert resolve_monitor_mode("compiled") == "compiled"
-
-    def test_bad_mode_rejected(self, monkeypatch):
+    def test_bad_mode_rejected(self):
         from repro.errors import ExperimentError
 
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "jit")
         with pytest.raises(ExperimentError):
-            resolve_monitor_mode()
+            build_monitor(CHECKER_FORMULAS[0], mode="jit")
 
     def test_expect_kind_guard(self):
         from repro.errors import LocError
@@ -238,9 +228,8 @@ class TestRunJobIdentity:
 
     def test_outcome_bytes_identical_across_modes(self, monkeypatch):
         job = self._job()
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "compiled")
         compiled = run_job(job)
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
+        use_interpreted_monitors(monkeypatch)
         interpreted = run_job(job)
         a = json.dumps(compiled.to_dict(), sort_keys=True)
         b = json.dumps(interpreted.to_dict(), sort_keys=True)
@@ -271,7 +260,8 @@ class TestStudyIdentityAcrossModes:
         )
         reports = {}
         for mode in ("compiled", "interpreted"):
-            monkeypatch.setenv(MONITOR_MODE_ENV_VAR, mode)
+            if mode == "interpreted":
+                use_interpreted_monitors(monkeypatch)
             result = Session().study(spec)
             reports[mode] = render_json(result.policy_map)
         assert reports["compiled"] == reports["interpreted"]

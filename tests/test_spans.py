@@ -20,7 +20,6 @@ from repro.backends import DistributedBackend
 from repro.backends.worker import run_worker
 from repro.cli import main
 from repro.errors import ExperimentError
-from repro.loc.monitor import MONITOR_MODE_ENV_VAR
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, MetricsRegistry
 from repro.obs.perfetto import render_perfetto, to_perfetto, track_types
 from repro.obs.spans import (
@@ -37,6 +36,8 @@ from repro.obs.spans import (
 from repro.studies import StudySpec
 from repro.studies.report import render_html, render_json
 from repro.sweep import SweepSpec
+
+from conftest import use_interpreted_monitors
 
 #: Short, deterministic grid shared by the execution tests (the
 #: test_backends shape).
@@ -217,7 +218,7 @@ class TestSimSpanDeterminism:
     def test_monitor_mode_does_not_move_spans(self, spans_on, monkeypatch):
         jobs = small_spec().jobs()
         compiled = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
-        monkeypatch.setenv(MONITOR_MODE_ENV_VAR, "interpreted")
+        use_interpreted_monitors(monkeypatch)
         interpreted = Session(execution=ExecutionPolicy(workers=1)).sweep(jobs)
         assert sim_spans_of(compiled) == sim_spans_of(interpreted)
 

@@ -55,6 +55,16 @@ class TestTimeWeightedValue:
         second = signal.integral
         assert first == second
 
+    def test_reads_do_not_move_later_reads(self):
+        # Folding 0.1 W over [0, 1) ps and then [1, 6) ps rounds to a
+        # different float than one 6 ps segment; a read must not fold.
+        sim = Simulator()
+        read_twice = TimeWeightedValue(sim, initial=0.1)
+        read_once = TimeWeightedValue(sim, initial=0.1)
+        read_twice.integral_at(1)
+        assert read_twice.integral_at(6) == read_once.integral_at(6)
+        assert read_once.integral_at(6) == 0.1 * 6 / 1e12
+
 
 class TestIntervalAccumulator:
     def test_charges_time_to_active_state(self):
